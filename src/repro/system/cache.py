@@ -4,17 +4,37 @@ Used for both the private L1s (32 KB, 2-way) and the shared-L2 banks
 (256 KB, 16-way) of the paper's Table 2.  The cache stores an opaque
 ``line`` object per block (protocol state lives in the controllers);
 this module only provides placement, lookup and LRU eviction.
+
+Each set is a plain insertion-ordered ``dict`` (oldest first): a touch
+re-inserts the block at the end and eviction takes the first key.  A
+chip has tens of thousands of sets and most L2 sets are never used, so
+a set gets its own dict only on its first insert; until then it points
+at one shared empty dict that is never written.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Generic, Iterator, List, Optional, Tuple, TypeVar
+import functools
+import sys
+from dataclasses import dataclass
+from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 L = TypeVar("L")
 
+#: ``@dataclass(slots=True)`` for the records the controllers keep per
+#: block (lines, MSHRs, directory entries).  Python 3.9 has no
+#: ``slots`` option and gets a plain dataclass that behaves the same.
+slotted_dataclass = (
+    functools.partial(dataclass, slots=True)
+    if sys.version_info >= (3, 10)
+    else dataclass
+)
+
 #: Cache block size in bytes (Table 2).
 BLOCK_BYTES = 64
+
+#: Storage of every set that has never held a line (read-only).
+_EMPTY_SET: Dict = {}
 
 
 class SetAssociativeCache(Generic[L]):
@@ -29,9 +49,7 @@ class SetAssociativeCache(Generic[L]):
         if self.num_sets < 1:
             raise ValueError("cache too small for its associativity")
         #: Per set: block -> line, ordered oldest-first for LRU.
-        self._sets: List["OrderedDict[int, L]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        self._sets: List[Dict[int, L]] = [_EMPTY_SET] * self.num_sets
 
     # ------------------------------------------------------------------
     def set_index(self, block: int) -> int:
@@ -43,7 +61,8 @@ class SetAssociativeCache(Generic[L]):
         cache_set = self._sets[self.set_index(block)]
         line = cache_set.get(block)
         if line is not None and touch:
-            cache_set.move_to_end(block)
+            del cache_set[block]
+            cache_set[block] = line
         return line
 
     def contains(self, block: int) -> bool:
@@ -56,12 +75,17 @@ class SetAssociativeCache(Generic[L]):
         The caller must make room decisions *before* inserting when an
         eviction has protocol side effects — use :meth:`victim_for`.
         """
-        cache_set = self._sets[self.set_index(block)]
+        index = self.set_index(block)
+        cache_set = self._sets[index]
+        if cache_set is _EMPTY_SET:
+            cache_set = self._sets[index] = {}
         evicted = None
-        if block not in cache_set and len(cache_set) >= self.ways:
-            evicted = cache_set.popitem(last=False)
+        if block in cache_set:
+            del cache_set[block]
+        elif len(cache_set) >= self.ways:
+            oldest = next(iter(cache_set))
+            evicted = (oldest, cache_set.pop(oldest))
         cache_set[block] = line
-        cache_set.move_to_end(block)
         return evicted
 
     def victim_for(self, block: int, evictable=None) -> Optional[Tuple[int, L]]:

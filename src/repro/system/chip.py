@@ -159,7 +159,7 @@ class Chip:
                 block = base + i
                 l1.cache.insert(block, L1Line("E", 0))
                 home = self.directories[self.home_of(block)]
-                home.entry(block).owner = node
+                home.warm_owners[block] = node
                 home.l2.insert(block, L2Line(version=0, dirty=False))
         for i in range(profile.shared_blocks):
             block = _SHARED_BASE + i
@@ -277,7 +277,7 @@ class Chip:
         ]
         print(f"[chip] stuck cores: {stuck[:8]} (of {len(stuck)})")
         busy = [
-            (d.node, b, e.pending, len(e.waiting))
+            (d.node, b, e.pending, len(e.waiting or ()))
             for d in self.directories
             for b, e in d.entries.items()
             if e.busy

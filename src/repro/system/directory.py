@@ -15,31 +15,44 @@ controller that owns the block.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Optional, Set
+from typing import AbstractSet, Callable, Deque, Dict, FrozenSet, Optional
 
-from .cache import SetAssociativeCache
+from .cache import SetAssociativeCache, slotted_dataclass
 from .messages import CoherenceMessage, MessageType
 
+#: Sharer set of every entry that has had no sharers yet (never written).
+_NO_SHARERS: FrozenSet[int] = frozenset()
 
-@dataclass
+
+@slotted_dataclass
 class L2Line:
     """One L2 data line: version and dirty bit."""
     version: int
     dirty: bool = False
 
 
-@dataclass
+@slotted_dataclass
 class DirEntry:
-    """Directory state for one block: owner, sharers, blocking context."""
+    """Directory state for one block: owner, sharers, blocking context.
+
+    Most entries never see a sharer or a queued request, so ``sharers``
+    starts as a shared empty frozenset and ``waiting`` as None; the
+    directory assigns a real set or deque on the first write.
+    """
     owner: Optional[int] = None
-    sharers: Set[int] = field(default_factory=set)
+    sharers: AbstractSet[int] = _NO_SHARERS
     busy: bool = False
     #: Context of the in-flight blocking operation:
     #: ("gets_fwd", requester, owner) or ("mem_gets"/"mem_getm",
     #: requester, ack_count).
     pending: Optional[tuple] = None
-    waiting: Deque[CoherenceMessage] = field(default_factory=deque)
+    waiting: Optional[Deque[CoherenceMessage]] = None
+
+    def enqueue(self, msg: CoherenceMessage) -> None:
+        """Queue a request behind the in-flight blocking operation."""
+        if self.waiting is None:
+            self.waiting = deque()
+        self.waiting.append(msg)
 
     def idle(self) -> bool:
         """Whether this entry carries no state worth keeping."""
@@ -69,6 +82,10 @@ class DirectoryController:
             l2_size_bytes, l2_ways
         )
         self.entries: Dict[int, DirEntry] = {}
+        #: Owners of blocks pre-installed by cache warm-up that no
+        #: message has touched yet: block -> owner node.  :meth:`entry`
+        #: moves a block from here into ``entries`` on first touch.
+        self.warm_owners: Dict[int, int] = {}
         #: Memory-fetch contexts per block: (kind, requester, acks,
         #: blocking).  Kept outside DirEntry.pending so a chained
         #: non-blocking fetch can coexist with a blocking transaction.
@@ -84,7 +101,7 @@ class DirectoryController:
         """The (possibly fresh) directory entry for a block."""
         e = self.entries.get(block)
         if e is None:
-            e = DirEntry()
+            e = DirEntry(owner=self.warm_owners.pop(block, None))
             self.entries[block] = e
         return e
 
@@ -115,7 +132,7 @@ class DirectoryController:
     def _on_request(self, msg: CoherenceMessage, cycle: int) -> None:
         entry = self.entry(msg.block)
         if entry.busy:
-            entry.waiting.append(msg)
+            entry.enqueue(msg)
             return
         self.requests_served += 1
         if msg.mtype is MessageType.GETS:
@@ -167,7 +184,7 @@ class DirectoryController:
             )
             self._send(inv, sharer, cycle)
         requester_had_copy = req in entry.sharers
-        entry.sharers = set()
+        entry.sharers = _NO_SHARERS
         entry.owner = req
         if requester_had_copy:
             # Upgrade: no data needed.
@@ -222,7 +239,8 @@ class DirectoryController:
 
     def _on_puts(self, msg: CoherenceMessage, cycle: int) -> None:
         entry = self.entry(msg.block)
-        entry.sharers.discard(msg.sender)
+        if msg.sender in entry.sharers:
+            entry.sharers.discard(msg.sender)
         if entry.owner == msg.sender:
             # Clean E copy dropped.
             entry.owner = None
@@ -289,7 +307,7 @@ class DirectoryController:
                         MessageType.DATA, msg.block, req, line.version, 0, cycle
                     )
                 return
-            entry.waiting.append(fake)
+            entry.enqueue(fake)
             return
         if line is None:
             self._start_memory_fetch(entry, fake, cycle, "mem_getm", 0)

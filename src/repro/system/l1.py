@@ -17,21 +17,21 @@ list stays exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Dict, List, Optional
 
-from .cache import SetAssociativeCache
+from .cache import SetAssociativeCache, slotted_dataclass
 from .messages import CoherenceMessage, MessageType
 
 
-@dataclass
+@slotted_dataclass
 class L1Line:
     """One stable L1 line: MESI state letter and data version."""
     state: str  # "S", "E" or "M"
     version: int
 
 
-@dataclass
+@slotted_dataclass
 class MSHR:
     """In-flight transaction state (transient MESI states)."""
     op: str  # "load" or "store"
@@ -44,7 +44,7 @@ class MSHR:
     issued_at: int = 0
 
 
-@dataclass
+@slotted_dataclass
 class WBEntry:
     """Writeback buffer entry holding evicted M data until WbAck."""
     version: int
